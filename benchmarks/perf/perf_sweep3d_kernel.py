@@ -1,4 +1,4 @@
-"""Perf of the Sweep3D numeric layer: plan kernels, batched octants, replay.
+"""Perf of the Sweep3D numeric layer: plan kernels, batched octants, runs.
 
 The smoke tier is the bit-identity contract of the sweep-plan rewrite:
 
@@ -11,17 +11,18 @@ The smoke tier is the bit-identity contract of the sweep-plan rewrite:
 * the current solver stack against the seed solver driving the seed
   kernels, including reflective faces and ``face_memory`` hand-off
   across sweeps (where the batched path must *not* engage);
-* replay-mode ``run(iterations=N)`` against the full run — flux,
-  message counts, bytes, iteration time, and the traced DES timeline.
+* ``ParallelSweep.run(iterations=N)``, which computes its flux once,
+  against the 1-iteration run and the seed commit's N-iteration run,
+  which computed every iteration — flux, counts, iteration time;
+* the BLAS property the batched ``BoundKernel`` rests on: a stacked
+  ``(B, n, M) @ w`` reduces each block as that block's own matmul.
 
 The measured tier times the kernel micro-benchmark, a sequential solve,
-and a replay run against the seed baselines and records them under
-``sweep3d_kernel`` in ``BENCH_perf.json``.
+and an 8-iteration parallel run against the seed baselines and records
+them under ``sweep3d_kernel`` in ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -37,13 +38,12 @@ from benchmarks.framework import (
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
 from repro.hardware.cell import POWERXCELL_8I
-from repro.sim.trace import Tracer
 from repro.sweep3d.cellport import grind_time
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.fixup import sweep_octant_fixup
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.kernel import sweep_octant
-from repro.sweep3d.parallel import ParallelSweep
+from repro.sweep3d import parallel
 from repro.sweep3d.placement import cell_fabric, spe_locations
 from repro.sweep3d.quadrature import make_angle_set
 from repro.sweep3d.solver import ALL_REFLECTIVE, solve, sweep_all_octants
@@ -64,9 +64,10 @@ SMOKE_GRIDS = [
 SOLVE_INP = SweepInput(it=16, jt=16, kt=16, mk=16, mmi=6)
 SOLVE_ITERATIONS = 4
 
-#: the replay measured workload: the perf_sweep3d_parallel configuration
-REPLAY_INP = SweepInput(it=5, jt=5, kt=40, mk=20, mmi=6)
-REPLAY_DECOMP = Decomposition2D(8, 4)
+#: the 8-iteration measured workload: the perf_sweep3d_parallel
+#: configuration (published as ``replay_run8_s``)
+RUN8_INP = SweepInput(it=5, jt=5, kt=40, mk=20, mmi=6)
+RUN8_DECOMP = Decomposition2D(8, 4)
 
 MIN_SOLVE_SPEEDUP = 3.0
 
@@ -156,40 +157,58 @@ def _check_solver_stack_vs_seed():
                 assert got[1] == want[1] and got[2] == want[2]
 
 
-def _replay_run(replay: bool, iterations: int = 3):
-    tracer = Tracer()
-    sweep = ParallelSweep(
+def _parallel_run(mod, iterations: int):
+    dec = Decomposition2D(4, 2)
+    sweep = mod.ParallelSweep(
         SweepInput(it=3, jt=3, kt=8, mk=2, mmi=2),
-        Decomposition2D(4, 2),
+        dec,
         grind_time=grind_time(POWERXCELL_8I),
         fabric=cell_fabric(),
-        locations=spe_locations(Decomposition2D(4, 2)),
-        tracer=tracer,
+        locations=spe_locations(dec),
     )
-    return sweep.run(iterations=iterations, replay=replay), tracer
+    return sweep.run(iterations=iterations)
 
 
-def _trace_fingerprint(tracer: Tracer) -> str:
-    h = hashlib.sha256()
-    for rec in tracer.records:
-        h.update(repr((rec.time, rec.category, rec.source, rec.detail)).encode())
-        h.update(b";")
-    return h.hexdigest()
+def _check_iterations_vs_single_run():
+    """A fixed-source N-iteration run computes its flux once: the flux
+    equals the 1-iteration run's bit for bit, the message, byte and
+    compute counts are N times its counts, and flux and iteration time
+    equal the seed commit's N-iteration run, which computed every
+    iteration inside the DES."""
+    one = _parallel_run(parallel, 1)
+    three = _parallel_run(parallel, 3)
+    assert np.array_equal(one.phi, three.phi)
+    assert three.messages == 3 * one.messages
+    assert three.bytes_sent == 3 * one.bytes_sent
+    assert three.compute_time_per_rank == 3 * one.compute_time_per_rank
+    seed = _seed("src/repro/sweep3d/parallel.py", "_seed_s3d_parallel")
+    full = _parallel_run(seed, 3)
+    assert np.array_equal(full.phi, three.phi)
+    assert full.iteration_time == three.iteration_time
+    assert full.messages == three.messages
+    assert full.bytes_sent == three.bytes_sent
 
 
-def _check_replay_vs_full_run():
-    """Replay mode is pure bookkeeping: flux, message counts, bytes,
-    iteration time and the traced DES timeline all match the full run
-    bit for bit."""
-    full, t_full = _replay_run(replay=False)
-    fast, t_fast = _replay_run(replay=True)
-    assert np.array_equal(full.phi, fast.phi)
-    assert full.iteration_time == fast.iteration_time
-    assert full.messages == fast.messages
-    assert full.bytes_sent == fast.bytes_sent
-    assert full.compute_time_per_rank == fast.compute_time_per_rank
-    assert len(t_full.records) > 0
-    assert _trace_fingerprint(t_full) == _trace_fingerprint(t_fast)
+def _check_stacked_matmul_vs_per_block():
+    """The batched ``BoundKernel`` rests on BLAS reducing each block of
+    a stacked ``(B, n, M) @ w`` exactly as that block's own ``(n, M)``
+    matmul, and each ``(B, 1, M) @ w`` fix-up row exactly as the
+    one-row ``@`` — a property of the BLAS build, pinned here so an
+    upgrade that breaks it fails loudly (flattening the stack to
+    ``(B*n, M)`` does change the sums)."""
+    rng = np.random.default_rng(33)
+    for M in (3, 6, 12, 24):
+        w = rng.uniform(0.01, 1.0, M)
+        for n in range(1, 9):
+            for B in (2, 33, 60):
+                stack = rng.uniform(-4.0, 4.0, (B, n, M))
+                blocks = np.matmul(stack, w)
+                for r in range(n):
+                    rows = np.matmul(stack[:, r:r + 1], w)[:, 0]
+                    for b in range(B):
+                        assert rows[b] == stack[b, r] @ w, (M, n, B, r)
+                for b in range(B):
+                    assert np.array_equal(blocks[b], np.matmul(stack[b], w)), (M, n, B)
 
 
 @perftest
@@ -197,17 +216,19 @@ class SweepKernelIdentity(PerfTest):
     """Smoke tier: the rewrite's bit-identity contract."""
 
     name = "sweep3d_kernel_identity"
-    title = "sweep3d: plan kernels, batching, solver stack, replay identity"
+    title = "sweep3d: plan kernels, batching, solver stack, iterations, BLAS"
     tiers = ("smoke",)
     params = {
-        "check": ["plan_kernels", "batched", "solver_stack", "replay"]
+        "check": ["plan_kernels", "batched", "solver_stack", "iterations",
+                  "blas_stack"]
     }
 
     _CHECKS = {
         "plan_kernels": _check_plan_kernels_vs_seed,
         "batched": _check_batched_vs_per_octant,
         "solver_stack": _check_solver_stack_vs_seed,
-        "replay": _check_replay_vs_full_run,
+        "iterations": _check_iterations_vs_single_run,
+        "blas_stack": _check_stacked_matmul_vs_per_block,
     }
 
     def sanity(self, case: Case):
@@ -240,23 +261,23 @@ def _make_solve_seed(seed_solver, seed_kernel):
     return lambda: seed_solver.solve(SOLVE_INP, max_iterations=SOLVE_ITERATIONS)
 
 
-def _parallel_replay_run():
-    sweep = ParallelSweep(
-        REPLAY_INP,
-        REPLAY_DECOMP,
+def _parallel_run8():
+    sweep = parallel.ParallelSweep(
+        RUN8_INP,
+        RUN8_DECOMP,
         grind_time=grind_time(POWERXCELL_8I),
         fabric=cell_fabric(),
-        locations=spe_locations(REPLAY_DECOMP),
+        locations=spe_locations(RUN8_DECOMP),
     )
-    return sweep.run(iterations=8, replay=True)
+    return sweep.run(iterations=8)
 
 
 @perftest
 class SweepKernelThroughput(PerfTest):
-    """Measured tier: kernel micro, sequential solve, replay run."""
+    """Measured tier: kernel micro, sequential solve, 8-iteration run."""
 
     name = "sweep3d_kernel"
-    title = "sweep3d: kernel/solve/replay wall-clock vs the seed stack"
+    title = "sweep3d: kernel/solve/run wall-clock vs the seed stack"
     tiers = ("measured",)
     section = "sweep3d_kernel"
     # The floor binds only when git history provides the seed baseline,
@@ -294,7 +315,7 @@ class SweepKernelThroughput(PerfTest):
             metrics["solve_seed_s"] = round(times["seed"], 4)
             metrics["solve_speedup"] = round(times["seed"] / times["current"], 2)
         metrics["replay_run8_s"] = round(
-            best_seconds(_parallel_replay_run, repeats=3), 4
+            best_seconds(_parallel_run8, repeats=3), 4
         )
         return metrics
 

@@ -20,6 +20,9 @@ vacuum-boundary sweep in one pass, stacking their independent inflows
 into the trailing angle axis (``8`` octants side by side) with the
 octant flips applied through the plan's precomputed index maps — one
 kernel invocation per transport sweep instead of eight.
+:class:`BoundKernel` batches the other way, for the distributed sweep:
+a stack of independent blocks (one KBA wavefront diagonal of the
+process array) along a leading axis, one octant each.
 """
 
 from __future__ import annotations
@@ -127,39 +130,35 @@ def sweep_octant(
 
 
 class BoundKernel:
-    """:func:`sweep_octant` with everything but the data bound ahead.
+    """:func:`sweep_octant` over a stack of blocks, everything but the
+    data bound ahead.
 
-    At full-machine scale the kernel runs ~49,000 times per sweep on
-    tiny blocks, and its cost is numpy *call dispatch*, not arithmetic.
-    A ``BoundKernel`` binds geometry (the plan), a **scalar** total
-    cross-section, cell spacings, and the ordinate set once, and
-    restructures the per-step body around one fused face buffer:
+    The distributed sweep computes its flux in one whole-domain KBA
+    pass: every block on one wavefront diagonal of the process array is
+    independent of the others, so the blocks are stacked along a
+    leading batch axis and the kernel's steps run once for the whole
+    stack — a few hundred calls per full-machine sweep instead of one
+    per rank and block.  A ``BoundKernel`` binds geometry (the plan), a
+    **scalar** total cross-section, cell spacings, and the ordinate set
+    once, and keeps the three face surfaces stacked in a single
+    ``(B, J*K + I*K + I*J, M)`` array, gathered and scattered through
+    one precomputed concatenated index vector per step; the
+    ``cx/cy/cz`` multiplies and the ``2*center - in`` outflow updates
+    run once over a ``(B, 3, n, M)`` stack.
 
-    * the three face surfaces live stacked in a single
-      ``(J*K + I*K + I*J, M)`` array, gathered and scattered through
-      one precomputed concatenated index vector per step — one
-      ``take`` / one fancy-store where the unbound kernel pays three;
-    * the ``cx/cy/cz`` multiplies and the ``2*center - in`` outflow
-      updates run once over a ``(3, n, M)`` stack instead of three
-      times over ``(n, M)``;
-    * every workspace slice, reshape, and broadcast view the step loop
-      needs is precomputed at bind time, so the per-call loop performs
-      only the arithmetic ops themselves.
-
-    The arithmetic *order* is kept exactly the seed's —
+    The arithmetic *order* per block is kept exactly the seed's —
     ``((cx*in_x + src) + cy*in_y) + cz*in_z``, the one-row BLAS
-    ``ddot`` fix-up rows, the ``0.0 + p`` flux store — so results are
-    bit-identical to :func:`sweep_octant` (asserted in the perf smoke
-    tier).  Inflow shapes are trusted, not validated: callers are the
-    inner loops that already carry plan-shaped faces.  Like the plan
-    workspaces, a bound kernel is not re-entrant; calls complete
-    atomically between DES yields.
+    ``ddot`` fix-up rows, the ``0.0 + p`` flux store — so every block
+    of the stack is bit-identical to :func:`sweep_octant` on it alone
+    (asserted in the perf smoke tier).  That rests on the angle
+    reduction keeping the batch axis: ``(B, n, M) @ w`` runs BLAS on
+    each block's ``(n, M)`` matrix, and each fix-up row is a
+    ``(B, 1, M) @ w`` dot; flattening the stack to ``(B*n, M)`` would
+    change the summation order.  Inflow shapes are trusted, not
+    validated: the caller carries plan-shaped faces.
     """
 
-    __slots__ = (
-        "plan", "shape", "_steps", "_denom", "_w", "_faces",
-        "_cell_all", "_src_all", "_p_all",
-    )
+    __slots__ = ("plan", "shape", "_steps", "_denom", "_w", "_faces", "_c3")
 
     def __init__(
         self,
@@ -173,7 +172,6 @@ class BoundKernel:
         if np.ndim(sigma_t) != 0:
             raise ValueError("BoundKernel requires a scalar sigma_t")
         I, J, K = plan.shape
-        M = plan.n_angles
         self.plan = plan
         self.shape = (I, J, K)
         cx, cy, cz, c_sum, w = plan.angle_constants(dx, dy, dz, angles)
@@ -182,46 +180,12 @@ class BoundKernel:
         JK, IK = J * K, I * K
         self._faces = (JK, IK, I * J)
         # (3, 1, M) per-axis constants, broadcast over the face stack.
-        c3 = np.ascontiguousarray(np.stack([cx, cy, cz])[:, None, :])
-
-        n_max = int(np.diff(plan.offsets).max())
-        w_in = np.empty((3 * n_max, M))
-        w_prod = np.empty((3 * n_max, M))
-        w_out = np.empty((3 * n_max, M))
-        w_numer = np.empty((n_max, M))
-        w_center = np.empty((n_max, M))
-        w_two = np.empty((n_max, M))
-        # Source and scalar-flux values have no cross-step dataflow
-        # (unlike the face traffic), so they live in step-concatenated
-        # buffers: one gather before the loop, one ``0.0 + p`` store
-        # and one scatter after it, instead of one of each per step.
-        self._cell_all = plan.cell_idx
-        self._src_all = np.empty(plan.n_cells)
-        self._p_all = np.empty(plan.n_cells)
-
-        steps = []
-        for d, (cell, xf, yf, zf, fix, _fix8) in enumerate(plan.steps):
-            n = cell.shape[0]
-            n3 = 3 * n
-            o0, o1 = int(plan.offsets[d]), int(plan.offsets[d + 1])
-            idx3 = np.concatenate([xf, JK + yf, JK + IK + zf])
-            steps.append((
-                idx3,
-                fix,
-                w_in[:n3],                      # take target (n3, M)
-                w_in[:n3].reshape(3, n, M),     # ... viewed as the stack
-                w_prod[:n3].reshape(3, n, M),
-                self._src_all[o0:o1, None],     # this step's source column
-                w_numer[:n],
-                w_center[:n],
-                self._p_all[o0:o1],             # this step's flux rows
-                w_two[:n],
-                w_two[None, :n],                # ... broadcast over the stack
-                w_out[:n3].reshape(3, n, M),
-                w_out[:n3],                     # scatter source (n3, M)
-                c3,
-            ))
-        self._steps = tuple(steps)
+        self._c3 = np.ascontiguousarray(np.stack([cx, cy, cz])[:, None, :])
+        self._steps = tuple(
+            (np.concatenate([xf, JK + yf, JK + IK + zf]), fix,
+             int(plan.offsets[d]), int(plan.offsets[d + 1]))
+            for d, (_cell, xf, yf, zf, fix, _fix8) in enumerate(plan.steps)
+        )
 
     def __call__(
         self,
@@ -230,47 +194,46 @@ class BoundKernel:
         inflow_y: np.ndarray,
         inflow_z: np.ndarray,
     ):
-        """Sweep one octant; same returns as :func:`sweep_octant`.
-
-        ``phi`` and the outflow faces are freshly allocated per call
-        (the faces are views of one buffer): callers hand them to
-        in-flight simulated messages and chain them into the next
-        block's inflow, so they must survive across calls.
-        """
+        """Sweep a stack of ``B`` blocks: ``source`` is ``(B, I, J, K)``
+        and the inflows ``(B, J, K, M)`` / ``(B, I, K, M)`` /
+        ``(B, I, J, M)``; returns :func:`sweep_octant`'s four arrays,
+        each with the leading batch axis."""
         I, J, K = self.shape
         JK, IK, IJ = self._faces
         M = self.plan.n_angles
-        src = source.reshape(-1)
-        denom = self._denom
-        w = self._w
-        psi = np.empty((JK + IK + IJ, M))
-        psi[:JK] = inflow_x.reshape(JK, M)
-        psi[JK:JK + IK] = inflow_y.reshape(IK, M)
-        psi[JK + IK:] = inflow_z.reshape(IJ, M)
-        phi = np.empty(I * J * K)
-        src.take(self._cell_all, None, self._src_all)
-        for (idx3, fix, t_in, in3, prod3, src_col, t_numer, t_center,
-             t_p, t_two, two_b, out3, out_flat, c3) in self._steps:
-            psi.take(idx3, 0, t_in)
-            np.multiply(c3, in3, out=prod3)
-            numer = np.add(prod3[0], src_col, out=t_numer)
-            numer += prod3[1]
-            numer += prod3[2]
-            center = np.divide(numer, denom, out=t_center)
-            p = np.matmul(center, w, out=t_p)
+        B = source.shape[0]
+        denom, w, c3 = self._denom, self._w, self._c3
+        cell_all = self.plan.cell_idx
+        psi = np.empty((B, JK + IK + IJ, M))
+        psi[:, :JK] = inflow_x.reshape(B, JK, M)
+        psi[:, JK:JK + IK] = inflow_y.reshape(B, IK, M)
+        psi[:, JK + IK:] = inflow_z.reshape(B, IJ, M)
+        # Source and scalar-flux values have no cross-step dataflow
+        # (unlike the face traffic), so they live in step-concatenated
+        # buffers: one gather before the loop, one store after it.
+        src_all = source.reshape(B, -1).take(cell_all, 1)
+        p_all = np.empty((B, cell_all.size))
+        for idx3, fix, o0, o1 in self._steps:
+            n = o1 - o0
+            in3 = psi.take(idx3, 1).reshape(B, 3, n, M)
+            prod3 = c3 * in3
+            numer = np.add(prod3[:, 0], src_all[:, o0:o1, None])
+            numer += prod3[:, 1]
+            numer += prod3[:, 2]
+            center = np.divide(numer, denom, out=numer)
+            p = np.matmul(center, w)
             for r in fix:
-                p[r] = center[r] @ w
-            np.multiply(2.0, center, out=t_two)
-            np.subtract(two_b, in3, out=out3)
-            psi[idx3] = out_flat
-        p_all = self._p_all
-        np.add(p_all, 0.0, out=p_all)  # 0.0 + p: the seed's "+=" on zeros
-        phi[self._cell_all] = p_all
+                p[:, r] = np.matmul(center[:, r:r + 1], w)[:, 0]
+            p_all[:, o0:o1] = p
+            np.subtract((2.0 * center)[:, None], in3, out=in3)
+            psi[:, idx3] = in3.reshape(B, 3 * n, M)
+        phi = np.empty((B, cell_all.size))
+        phi[:, cell_all] = np.add(p_all, 0.0, out=p_all)  # the seed's "+=" on zeros
         return (
-            phi.reshape(I, J, K),
-            psi[:JK].reshape(J, K, M),
-            psi[JK:JK + IK].reshape(I, K, M),
-            psi[JK + IK:].reshape(I, J, M),
+            phi.reshape(B, I, J, K),
+            psi[:, :JK].reshape(B, J, K, M),
+            psi[:, JK:JK + IK].reshape(B, I, K, M),
+            psi[:, JK + IK:].reshape(B, I, J, M),
         )
 
 

@@ -2,36 +2,35 @@
 
 Each process of the 2-D KBA decomposition runs as a DES process with a
 SimMPI rank.  Per octant, per K-block it (1) receives its upstream I-
-and J-surfaces, (2) computes the block — *really*, with the vectorized
-diamond-difference kernel, while charging the simulated clock the
-machine's grind time — and (3) sends the downstream surfaces.  One run
-therefore yields both a physically meaningful global flux field (tested
-to match the sequential solver to round-off) and a simulated iteration
-time (cross-validated against the analytic wavefront model).
+and J-surfaces, (2) charges the simulated clock the machine's grind
+time for the block, and (3) sends the downstream surfaces.  The DES is
+timing-only: messages carry their byte counts and no payload, because
+simulated time never depends on payload values.  The numerics run
+after the DES, in one whole-domain KBA pass (:meth:`ParallelSweep.
+_flux`): every block on a wavefront diagonal of the process array is
+independent of the others, so each diagonal is one batched
+:class:`repro.sweep3d.kernel.BoundKernel` call.  One run therefore
+yields both a physically meaningful global flux field (tested to match
+the sequential solver to round-off, and bit-identical to sweeping each
+rank's blocks in turn) and a simulated iteration time (cross-validated
+against the analytic wavefront model).
 
-Negative-direction octants are handled by flipping each rank's local
-arrays into sweep orientation once per octant; boundary surfaces are
-exchanged in that shared flipped orientation, so neighbouring ranks
-agree on face layouts without per-message transforms.
+Negative-direction octants are swept in flipped orientation: each rank
+sweeps its local arrays flipped into sweep orientation, which for the
+whole domain is the global array flipped, so the batched pass flips
+the global source once per octant and un-flips the octant's flux when
+accumulating it.
 
-Two fast paths keep the Python overhead off the simulated clock's
-critical path.  The flipped per-octant, per-K-block source copies and
-the zero boundary surfaces are prepared **once per run** and shared by
-every rank (weak scaling: all ranks sweep the same local source), with
-the per-block kernel calls running on one cached
-:class:`repro.sweep3d.plan.SweepPlan`.  And because a fixed-source
-timed run repeats *numerically identical* sweeps, ``run(iterations=N)``
-defaults to **replay mode**: the numerics execute on the first
-iteration only, while the remaining ``N - 1`` iterations replay the
-identical DES event sequence (same receives, timeouts, and sends with
-the same byte counts — message payloads never influence simulated
-time), giving bit-identical ``phi``, ``messages``, ``bytes_sent``, and
-``iteration_time`` by construction.
+A fixed-source timed run (``run(iterations=N)``) repeats numerically
+identical sweeps, so the DES plays ``N`` sweeps' events and the flux is
+computed once; the source iteration of :meth:`ParallelSweep.
+solve_distributed` runs first, and the DES then plays the iterations it
+took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.comm.mpi import DeliveryError, Location, SimMPI
 from repro.sim.engine import SimulationError, Simulator
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
-from repro.sweep3d.kernel import bind_octant_kernel, sweep_octant
+from repro.sweep3d.kernel import bind_octant_kernel
 from repro.sweep3d.plan import get_plan
 from repro.sweep3d.quadrature import OCTANTS, AngleSet, make_angle_set
 from repro.sweep3d.solver import _flip
@@ -83,6 +82,26 @@ def _finish_line(body, finish, remaining: list):
     return result
 
 
+def _wavefronts(npe_i: int, npe_j: int, k_blocks: int) -> list:
+    """The KBA diagonals of an ``npe_i x npe_j`` process array sweeping
+    ``k_blocks`` K-blocks, in sweep orientation: per diagonal, the
+    process coordinates ``qi``, ``qj`` and K-block ``b`` of its blocks,
+    and where each block's x / y / z inflow sits among the previous
+    diagonal's blocks (``-1``: the vacuum face)."""
+    qi, qj = np.divmod(np.arange(npe_i * npe_j), npe_j)
+    # the extra row and column stay -1: upstream of the first rank
+    slot = np.full((npe_i + 1, npe_j + 1), -1)
+    diagonals = []
+    for d in range(npe_i + npe_j + k_blocks - 2):
+        b = d - qi - qj
+        on = (b >= 0) & (b < k_blocks)
+        i, j, b = qi[on], qj[on], b[on]
+        diagonals.append((i, j, b, slot[i - 1, j], slot[i, j - 1],
+                          np.where(b > 0, slot[i, j], -1)))
+        slot[i, j] = np.arange(i.size)
+    return diagonals
+
+
 @dataclass
 class ParallelSweepResult:
     """Outcome of a distributed iteration set."""
@@ -97,7 +116,6 @@ class ParallelSweepResult:
     compute_time_per_rank: float = 0.0
     #: message retransmissions (0 without a delivery policy)
     retries: int = 0
-    per_rank_phi: list = field(repr=False, default_factory=list)
 
     @property
     def parallel_efficiency(self) -> float:
@@ -208,143 +226,77 @@ class ParallelSweep:
             obs = active(obs)
         self.obs = obs
 
-    # -- once-per-run preparation ----------------------------------------------
-    def _flipped_source_blocks(self, source: np.ndarray) -> list:
-        """Per-octant, per-K-block contiguous copies of the flipped
-        source — the eight ``_flip`` copies and per-block slices hoisted
-        out of the sweep loop, computed once and shared by every rank
-        (weak scaling: all ranks sweep the same local source)."""
-        inp = self.inp
-        mk = inp.mk
-        blocks = []
-        for octant in OCTANTS:
-            src_f = _flip(source, octant.signs)
-            blocks.append(tuple(
-                np.ascontiguousarray(src_f[:, :, b * mk : (b + 1) * mk])
-                for b in range(inp.k_blocks)
-            ))
-        return blocks
+    # -- numerics: one whole-domain KBA pass per sweep --------------------------
+    def _flux(self, source: np.ndarray) -> np.ndarray:
+        """Global scalar flux of one 8-octant sweep of the global
+        ``source`` (``(it*npe_i, jt*npe_j, kt)``).
 
-    def _scratch(self) -> dict:
-        """Once-per-run sweep scratch: the shared zero inflow surfaces
-        (read-only — the kernel copies its inflows), one per-octant flux
-        accumulator per rank (ranks interleave at yields, so these
-        cannot be shared), and the block geometry's cached sweep plan."""
-        inp, M = self.inp, self.angles.n_angles
-        plan = get_plan(inp.it, inp.jt, inp.mk, M)
-        # One fused kernel serves every rank: weak scaling sweeps one
-        # geometry, and the scalar-sigma bind precomputes all per-step
-        # workspace views (~1.6x per call over the unbound kernel).
-        # Spatially varying cross-sections keep the unbound path.
-        kernel = (
-            bind_octant_kernel(inp.sigma_t, inp.dx, inp.dy, inp.dz,
-                               self.angles, plan)
-            if np.ndim(inp.sigma_t) == 0
-            else None
-        )
-        return {
-            "zero_x": np.zeros((inp.jt, inp.mk, M)),
-            "zero_y": np.zeros((inp.it, inp.mk, M)),
-            "zero_z": np.zeros((inp.it, inp.jt, M)),
-            "phi_oct": [
-                np.empty((inp.it, inp.jt, inp.kt)) for _ in range(self.decomp.size)
-            ],
-            "plan": plan,
-            "kernel": kernel,
-        }
-
-    # -- per-rank process -----------------------------------------------------
-    def _rank_solve_body(
-        self, rank, scratch: dict, phi_out: list, info: dict, max_iterations: int
-    ):
-        """Distributed source iteration: sweep, update the scattering
-        source locally (phi is rank-local), and agree on convergence
-        with an allreduce — the full §V solver, on the simulated
-        machine."""
-        inp = self.inp
-        external = np.full((inp.it, inp.jt, inp.kt), inp.q)
-        phi = np.zeros_like(external)
-        obs = self.obs
-        for iteration in range(1, max_iterations + 1):
-            t0 = rank.sim.now if obs is not None else 0.0
-            source = external + inp.sigma_s * phi
-            blocks = self._flipped_source_blocks(source)
-            phi_new = yield from self._sweep_once(rank, blocks, scratch)
-            local_change = float(np.abs(phi_new - phi).max())
-            local_peak = float(np.abs(phi_new).max())
-            global_change = yield from rank.allreduce(local_change, op=max)
-            global_peak = yield from rank.allreduce(local_peak, op=max)
-            if obs is not None:
-                obs.span("sweep.iteration", rank.index, t0, rank.sim.now,
-                         iteration=iteration)
-            phi = phi_new
-            rel = global_change / global_peak if global_peak > 0 else 0.0
-            if rel < inp.epsi:
-                info["iterations"] = iteration
-                info["converged"] = True
-                info["rel_change"] = rel
-                break
-        else:
-            info["iterations"] = max_iterations
-            info["converged"] = False
-            info["rel_change"] = rel
-        phi_out[rank.index] = phi
-
-    def _sweep_once(self, rank, blocks: list, scratch: dict, compute: bool = True):
-        """One full 8-octant sweep (generator).
-
-        ``blocks`` is :meth:`_flipped_source_blocks` of the source and
-        ``scratch`` is :meth:`_scratch`, both prepared once per run.
-        With ``compute=False`` the sweep *replays*: the exact same
-        receive/timeout/send event sequence executes against the
-        simulated clock (sends keep their byte counts; payloads carry
-        ``None``) but the numerics are skipped — simulated time never
-        depends on payload values, so the DES timeline is identical by
-        construction.
+        In an octant's sweep orientation, the block at process
+        coordinates ``(qi, qj)`` and K-block ``b`` needs only the
+        outflows of ``(qi-1, qj, b)``, ``(qi, qj-1, b)`` and
+        ``(qi, qj, b-1)``, so every block on a diagonal
+        ``qi + qj + b = d`` is independent of the others: each diagonal
+        is one batched kernel call, fed by the previous diagonal's
+        outflow faces.  Per block this is exactly the sweep a rank runs
+        on its own subgrid, so the flux is bit-identical to computing
+        every block rank by rank; octants accumulate in octant order.
         """
         inp, dec, ang = self.inp, self.decomp, self.angles
-        it, jt, mk = inp.it, inp.jt, inp.mk
-        M = ang.n_angles
+        P, Q, kb = dec.npe_i, dec.npe_j, inp.k_blocks
+        it, jt, mk, M = inp.it, inp.jt, inp.mk, ang.n_angles
+        kernel = bind_octant_kernel(inp.sigma_t, inp.dx, inp.dy, inp.dz, ang,
+                                    get_plan(it, jt, mk, M))
+        schedule = _wavefronts(P, Q, kb)
+        # each face stack ends in one vacuum row, which index -1 selects
+        vacuum = (np.zeros((1, jt, mk, M)), np.zeros((1, it, mk, M)),
+                  np.zeros((1, it, jt, M)))
+        phi = np.zeros(source.shape)
+        phi_oct = np.empty((P, it, Q, jt, kb, mk))
+        for octant in OCTANTS:
+            src = _flip(source, octant.signs).reshape(P, it, Q, jt, kb, mk)
+            faces = vacuum
+            for qi, qj, b, ix, iy, iz in schedule:
+                blk_phi, *out = kernel(
+                    src[qi, :, qj, :, b, :],
+                    faces[0][ix], faces[1][iy], faces[2][iz],
+                )
+                phi_oct[qi, :, qj, :, b, :] = blk_phi
+                faces = [np.concatenate(pair) for pair in zip(out, vacuum)]
+            phi += _flip(phi_oct.reshape(source.shape), octant.signs)
+        return phi
+
+    # -- the DES: timing only ---------------------------------------------------
+    def _sweep_once(self, rank):
+        """One full 8-octant sweep's events on ``rank`` (generator): per
+        octant and K-block, receive the upstream I- and J-surfaces,
+        charge the block's grind time to the simulated clock, and send
+        the downstream surfaces.  Messages carry their byte counts and
+        no payload: simulated time never depends on payload values, so
+        the numerics run outside the DES (:meth:`_flux`)."""
+        inp, dec = self.inp, self.decomp
         kb = inp.k_blocks
+        M = self.angles.n_angles
         block_time = inp.block_angle_work() * self.grind_times[rank.index]
-        i_surface = jt * mk * M * 8
-        j_surface = it * mk * M * 8
-        zero_in_x = scratch["zero_x"]
-        zero_in_y = scratch["zero_y"]
-        zero_in_z = scratch["zero_z"]
-        plan = scratch["plan"]
-        kernel = scratch["kernel"]
-        phi = np.zeros((it, jt, inp.kt)) if compute else None
-        phi_oct = scratch["phi_oct"][rank.index]
+        i_surface = inp.jt * inp.mk * M * 8
+        j_surface = inp.it * inp.mk * M * 8
         obs = self.obs
         for octant in OCTANTS:
-            signs = octant.signs
-            oct_blocks = blocks[octant.id]
             up_i = dec.upstream_i(rank.index, octant.sx)
             dn_i = dec.downstream_i(rank.index, octant.sx)
             up_j = dec.upstream_j(rank.index, octant.sy)
             dn_j = dec.downstream_j(rank.index, octant.sy)
-            psi_z = zero_in_z
-            if compute:
-                phi_oct.fill(0.0)
             t_oct = rank.sim.now if obs is not None else 0.0
             for b in range(kb):
                 tag_i = _TAG_I + octant.id * kb + b
                 tag_j = _TAG_J + octant.id * kb + b
                 if up_i is not None:
-                    msg = yield from rank.recv(
+                    yield from rank.recv(
                         source=up_i, tag=tag_i, timeout=self.recv_timeout
                     )
-                    in_x = msg.payload
-                else:
-                    in_x = zero_in_x
                 if up_j is not None:
-                    msg = yield from rank.recv(
+                    yield from rank.recv(
                         source=up_j, tag=tag_j, timeout=self.recv_timeout
                     )
-                    in_y = msg.payload
-                else:
-                    in_y = zero_in_y
                 start = rank.sim.now
                 yield rank.sim.timeout(block_time)
                 if obs is not None:
@@ -355,73 +307,69 @@ class ParallelSweep:
                         f"rank{rank.index}", start, rank.sim.now,
                         label=f"oct{octant.id}b{b}",
                     )
-                if compute:
-                    if kernel is not None:
-                        blk_phi, out_x, out_y, psi_z = kernel(
-                            oct_blocks[b], in_x, in_y, psi_z
-                        )
-                    else:
-                        blk_phi, out_x, out_y, psi_z = sweep_octant(
-                            inp.sigma_t, oct_blocks[b],
-                            inp.dx, inp.dy, inp.dz, ang,
-                            inflow_x=in_x, inflow_y=in_y, inflow_z=psi_z,
-                            plan=plan,
-                        )
-                    phi_oct[:, :, b * mk : (b + 1) * mk] = blk_phi
-                else:
-                    out_x = out_y = None
                 if dn_i is not None:
-                    yield from rank.send(dn_i, i_surface, tag=tag_i, payload=out_x)
+                    yield from rank.send(dn_i, i_surface, tag=tag_i)
                 if dn_j is not None:
-                    yield from rank.send(dn_j, j_surface, tag=tag_j, payload=out_y)
+                    yield from rank.send(dn_j, j_surface, tag=tag_j)
             if obs is not None:
                 obs.span("sweep.octant", rank.index, t_oct, rank.sim.now,
                          octant=octant.id)
-            if compute:
-                phi += _flip(phi_oct, signs)
-        return phi
 
-    def _rank_body(
-        self, rank, blocks: list, scratch: dict, phi_out: list,
-        iterations: int, replay: bool, progress: list,
-    ):
+    def _rank_body(self, rank, iterations: int, progress: list):
         """Timed runs: repeat the same fixed-source sweep, as the
-        paper's fixed-iteration measurements do.  With ``replay`` only
-        the first sweep computes; the rest replay the identical DES
-        event sequence (see :meth:`_sweep_once`).  ``progress[rank]``
+        paper's fixed-iteration measurements do.  ``progress[rank]``
         counts this rank's finished sweeps — the recovery driver's
         resume point when a fault aborts the run."""
-        phi = None
         obs = self.obs
         for iteration in range(iterations):
-            compute = iteration == 0 or not replay
             t0 = rank.sim.now if obs is not None else 0.0
-            out = yield from self._sweep_once(rank, blocks, scratch, compute=compute)
+            yield from self._sweep_once(rank)
+            if obs is not None:
+                # ``replay``: this sweep repeats the run's first one
+                obs.span("sweep.iteration", rank.index, t0, rank.sim.now,
+                         iteration=iteration, replay=iteration > 0)
+            progress[rank.index] = iteration + 1
+
+    def _rank_solve_body(self, rank, iterations: int):
+        """Distributed source iteration: per iteration a sweep, then the
+        two allreduces (flux change and peak) the ranks agree on
+        convergence with — the full §V solver's events.  Their values
+        were settled by the source iteration run before the DES, so the
+        allreduces carry placeholders."""
+        obs = self.obs
+        for iteration in range(1, iterations + 1):
+            t0 = rank.sim.now if obs is not None else 0.0
+            yield from self._sweep_once(rank)
+            yield from rank.allreduce(0.0, op=max)
+            yield from rank.allreduce(0.0, op=max)
             if obs is not None:
                 obs.span("sweep.iteration", rank.index, t0, rank.sim.now,
-                         iteration=iteration, replay=not compute)
-            if out is not None:
-                phi = out
-            progress[rank.index] = iteration + 1
-        phi_out[rank.index] = phi
+                         iteration=iteration)
 
     # -- driver ----------------------------------------------------------------
+    def _machine(self):
+        """A private Simulator and communicator for one run."""
+        sim = Simulator()
+        if self.obs is not None:
+            sim.attach_observer(self.obs)
+        comm = SimMPI(sim, self.fabric, self.locations,
+                      delivery=self.delivery, obs=self.obs)
+        if self.tracer is not None:
+            comm.tracer = self.tracer
+        return sim, comm
+
     def run(
         self,
         source: np.ndarray | None = None,
         iterations: int = 1,
-        replay: bool = True,
     ) -> ParallelSweepResult:
         """Execute ``iterations`` sweeps; returns global flux and the
         simulated time per iteration.
 
-        A fixed-source timed run repeats numerically identical sweeps,
-        so ``replay=True`` (the default) computes the flux on the first
-        iteration and replays only the DES timing for the remaining
-        ``iterations - 1`` — bit-identical ``phi``, ``messages``,
-        ``bytes_sent``, and ``iteration_time``, asserted in the perf
-        smoke tier.  Pass ``replay=False`` to force every iteration
-        through the numerics.
+        A fixed-source timed run repeats numerically identical sweeps:
+        the DES plays the ``iterations`` sweeps' events, and the flux is
+        computed once after it completes — so an aborted run
+        (:class:`SweepAborted`) does no numerics.
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -430,16 +378,7 @@ class ParallelSweep:
             source = np.full((inp.it, inp.jt, inp.kt), inp.q)
         if source.shape != (inp.it, inp.jt, inp.kt):
             raise ValueError("source must match the per-rank subgrid")
-        blocks = self._flipped_source_blocks(source)
-        scratch = self._scratch()
-        sim = Simulator()
-        if self.obs is not None:
-            sim.attach_observer(self.obs)
-        comm = SimMPI(sim, self.fabric, self.locations,
-                      delivery=self.delivery, obs=self.obs)
-        if self.tracer is not None:
-            comm.tracer = self.tracer
-        phi_out: list = [None] * dec.size
+        sim, comm = self._machine()
         progress = [0] * dec.size
         procs = []
         # With bounded receives armed, recv timers that lose their race
@@ -452,10 +391,7 @@ class ParallelSweep:
         finish = sim.event() if self.recv_timeout is not None else None
         remaining = [dec.size]
         for r in range(dec.size):
-            body = self._rank_body(
-                comm.rank(r), blocks, scratch, phi_out, iterations,
-                replay, progress,
-            )
+            body = self._rank_body(comm.rank(r), iterations, progress)
             if finish is not None:
                 body = _finish_line(body, finish, remaining)
             procs.append(sim.process(body, name=f"sweep-rank{r}"))
@@ -477,7 +413,9 @@ class ParallelSweep:
             raise SweepAborted(
                 sim.now, min(progress), err, retries=sum(comm.retry_counts)
             ) from err
-        return self._result(sim, comm, phi_out, iterations)
+        # weak scaling: every rank sweeps the same local source
+        phi = self._flux(np.tile(source, (dec.npe_i, dec.npe_j, 1)))
+        return self._result(sim, comm, phi, iterations)
 
     def solve_distributed(self, max_iterations: int = 100):
         """Run the full distributed source iteration to convergence.
@@ -486,59 +424,45 @@ class ParallelSweep:
         :class:`ParallelSweepResult` (``iteration_time`` is the
         per-iteration average) plus a dict with ``iterations``,
         ``converged``, and ``rel_change`` — the distributed solver's
-        counterpart of :func:`repro.sweep3d.solver.solve`.
+        counterpart of :func:`repro.sweep3d.solver.solve`.  The source
+        iteration runs first, on the global flux; the DES then plays
+        the iterations it took.
         """
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        dec = self.decomp
-        scratch = self._scratch()
-        sim = Simulator()
-        if self.obs is not None:
-            sim.attach_observer(self.obs)
-        comm = SimMPI(sim, self.fabric, self.locations,
-                      delivery=self.delivery, obs=self.obs)
-        if self.tracer is not None:
-            comm.tracer = self.tracer
-        phi_out: list = [None] * dec.size
-        info: dict = {}
+        inp, dec = self.inp, self.decomp
+        external = np.full((inp.it * dec.npe_i, inp.jt * dec.npe_j, inp.kt), inp.q)
+        phi = np.zeros_like(external)
+        for iteration in range(1, max_iterations + 1):
+            phi_new = self._flux(external + inp.sigma_s * phi)
+            change = float(np.abs(phi_new - phi).max())
+            peak = float(np.abs(phi_new).max())
+            phi = phi_new
+            rel = change / peak if peak > 0 else 0.0
+            if rel < inp.epsi:
+                break
+        info = {"iterations": iteration, "converged": rel < inp.epsi,
+                "rel_change": rel}
+        sim, comm = self._machine()
         for r in range(dec.size):
-            sim.process(
-                self._rank_solve_body(
-                    comm.rank(r), scratch, phi_out, info, max_iterations
-                ),
-                name=f"solve-rank{r}",
-            )
+            sim.process(self._rank_solve_body(comm.rank(r), iteration),
+                        name=f"solve-rank{r}")
         sim.run()
-        return self._result(sim, comm, phi_out, info["iterations"]), info
+        return self._result(sim, comm, phi, iteration), info
 
-    def _result(self, sim, comm, phi_out: list, iterations: int) -> ParallelSweepResult:
+    def _result(self, sim, comm, phi: np.ndarray, iterations: int) -> ParallelSweepResult:
         """Shared :class:`ParallelSweepResult` assembly for ``run`` and
-        ``solve_distributed`` — one construction path, so replay mode
-        has a single place to stay honest about its bookkeeping."""
+        ``solve_distributed``."""
         # Per-rank compute time uses the mean grind (exact when uniform).
         block_time = self.inp.block_angle_work() * (
             sum(self.grind_times) / len(self.grind_times)
         )
         return ParallelSweepResult(
-            phi=self._assemble(phi_out),
+            phi=phi,
             iteration_time=sim.now / iterations,
             iterations=iterations,
             messages=sum(comm.sent_counts),
             bytes_sent=sum(comm.sent_bytes),
             compute_time_per_rank=iterations * 8 * self.inp.k_blocks * block_time,
             retries=sum(comm.retry_counts),
-            per_rank_phi=phi_out,
         )
-
-    def _assemble(self, phi_out: list) -> np.ndarray:
-        """Stitch per-rank fluxes into the global array."""
-        inp, dec = self.inp, self.decomp
-        phi = np.empty((inp.it * dec.npe_i, inp.jt * dec.npe_j, inp.kt))
-        for r, block in enumerate(phi_out):
-            pi, pj = dec.coords(r)
-            phi[
-                pi * inp.it : (pi + 1) * inp.it,
-                pj * inp.jt : (pj + 1) * inp.jt,
-                :,
-            ] = block
-        return phi

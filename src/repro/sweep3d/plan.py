@@ -33,9 +33,7 @@ the one-row path.  The plan records those rows per 3-D step
 dots one row at a time, reproducing the seed reduction bit for bit.
 
 Workspaces are reused across calls, so kernel calls are not re-entrant
-and plans are not thread-safe; the simulator is single-threaded and
-kernel calls complete atomically between DES yields, which is what
-makes sharing one plan across all ranks of a sweep safe.
+and plans are not thread-safe.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.resilience.recovery import (
     placement_penalty,
     run_with_recovery,
 )
+from repro.sweep3d import parallel
 from repro.sweep3d.decomposition import Decomposition2D
 from repro.sweep3d.input import SweepInput
 from repro.sweep3d.parallel import ParallelSweep, SweepAborted
@@ -123,7 +124,7 @@ def test_hop_aware_fabric_charges_extra_hops():
 
 # -- abort contract at the sweep layer --------------------------------------
 
-def test_mid_iteration_fault_aborts_with_progress_and_retries():
+def test_mid_iteration_fault_aborts_with_progress_and_retries(monkeypatch):
     from repro.resilience import DeliveryPolicy, FaultInjector
 
     health = FabricHealth()
@@ -145,9 +146,25 @@ def test_mid_iteration_fault_aborts_with_progress_and_retries():
         recv_timeout=2.0 * it_time,
         fault_hook=hook,
     )
+    kernel_calls = []
+    bind = parallel.bind_octant_kernel
+
+    def counting_bind(*args, **kwargs):
+        kernel = bind(*args, **kwargs)
+
+        def counted(*blocks):
+            kernel_calls.append(len(blocks[0]))
+            return kernel(*blocks)
+
+        return counted
+
+    monkeypatch.setattr(parallel, "bind_octant_kernel", counting_bind)
     with pytest.raises(SweepAborted) as exc:
         sweep.run(iterations=4)
     abort = exc.value
+    assert kernel_calls == []  # the flux is computed only after the DES
+    clean.run(iterations=1)
+    assert kernel_calls  # ... which a completed run does reach
     assert 0 <= abort.completed_iterations < 4
     # detection bound: the survivors' bounded receives fire within one
     # recv_timeout of the fault, never the full remaining schedule

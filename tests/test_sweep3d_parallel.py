@@ -208,7 +208,8 @@ def test_model_elongated_arrays_underestimates_slightly():
 
 # --- distributed source iteration ------------------------------------------------
 
-def test_solve_distributed_matches_sequential_solver():
+@pytest.mark.parametrize("npe", [(2, 2), (1, 4)], ids=["2x2", "1x4"])
+def test_solve_distributed_matches_sequential_solver(npe):
     """The full distributed source iteration converges to the same flux
     as the sequential solver — scattering update, convergence test and
     all."""
@@ -216,13 +217,13 @@ def test_solve_distributed_matches_sequential_solver():
     import dataclasses
 
     inp = SweepInput(it=3, jt=3, kt=4, mk=2, mmi=3, sigma_t=1.0, sigma_s=0.5)
-    dec = Decomposition2D(2, 2)
+    dec = Decomposition2D(*npe)
     sweep = ParallelSweep(inp, dec, grind_time=1e-9, fabric=FREE_FABRIC)
     result, info = sweep.solve_distributed(max_iterations=100)
     assert info["converged"]
 
     global_inp = dataclasses.replace(
-        inp, it=inp.it * 2, jt=inp.jt * 2
+        inp, it=inp.it * dec.npe_i, jt=inp.jt * dec.npe_j
     )
     sequential = solve(global_inp, max_iterations=100)
     assert info["iterations"] == sequential.iterations
