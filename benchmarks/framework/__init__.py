@@ -1,7 +1,7 @@
 """Declarative perf/scaling test framework (ReFrame-style, miniature).
 
 A perf test is *data plus two hooks*: it declares its parameter space
-(ranks, tile shapes, scheduler backend, workload names, ...), a
+(ranks, tile shapes, workload names, ...), a
 **sanity check** (bit-identity against the git-seed implementation or a
 property of the result), and **perf references** (floors, ceilings, and
 tolerance bands over the metrics it measures).  The runner owns

@@ -13,12 +13,10 @@ not extrapolate to it.  This module pins that capability:
   an enabled-obs run with the sink stays inside a tracemalloc memory
   band that the unbounded recorder already violates at this scale.
 * **measured**: wall-clock and logical events/s for one 3,060-rank
-  iteration under *both* scheduler backends (calendar and heap,
-  round-robin; the census must agree bit for bit between them),
-  tracemalloc peaks with obs disabled and with the streaming sink (the
-  ISSUE's <= 2x contract), the 6,120-rank what-if, all written to the
-  ``fullmachine`` section of ``BENCH_perf.json`` with floors that fail
-  the run if the scale capability regresses.
+  iteration, tracemalloc peaks with obs disabled and with the
+  streaming sink (the <= 2x memory contract), the 6,120-rank what-if,
+  all written to the ``fullmachine`` section of ``BENCH_perf.json``
+  with floors that fail the run if the scale capability regresses.
 
 Wall-clock is timed without tracemalloc (tracing multiplies allocator
 cost); memory is a separate traced run.
@@ -39,7 +37,7 @@ from benchmarks.framework import (
     Ceiling,
     Floor,
     PerfTest,
-    paired_seconds,
+    best_seconds,
     perftest,
 )
 from benchmarks.framework.pytest_bridge import install_pytest_tests
@@ -61,9 +59,9 @@ DOUBLE_RANKS = 6120
 SMOKE_RANKS = 120
 
 #: BENCH_perf.json floors.  The events/s floor is pinned at 1.5x the
-#: pre-calendar-queue measurement (41,388 events/s): the calendar
-#: scheduler, cohort batch delivery, and fused bound kernel measure
-#: ~72k logical events/s on the reference container (~4.7 s wall).
+#: 41,388 events/s measured before cohort batch delivery and the fused
+#: bound kernel, which took it to ~72k logical events/s on the reference
+#: container (~4.7 s wall).
 #: "Logical events" = engine dispatches + cohort-batched deliveries,
 #: so the numerator is invariant to how many deliveries share a
 #: dispatch and stays comparable with the pre-batching census.
@@ -95,16 +93,6 @@ def _run_unpooled(ranks: int, tracer=None):
     parallel.Simulator = functools.partial(Simulator, pool_size=0)
     try:
         return _run(ranks, tracer=tracer)
-    finally:
-        parallel.Simulator = orig
-
-
-def _run_with_scheduler(scheduler: str, ranks: int, obs=None):
-    """``_run`` with the sweep layer's Simulator pinned to a backend."""
-    orig = parallel.Simulator
-    parallel.Simulator = functools.partial(Simulator, scheduler=scheduler)
-    try:
-        return _run(ranks, obs=obs)
     finally:
         parallel.Simulator = orig
 
@@ -252,13 +240,13 @@ class FullMachineSmoke(PerfTest):
 # -- measured tier ---------------------------------------------------------
 
 
-def _logical_events(ranks: int, scheduler: str) -> tuple[dict, Any]:
-    """Deterministic event census for one backend: engine dispatches
-    plus cohort-batched deliveries (deliveries that shared another
-    message's dispatch), so the count is invariant to batching and
-    comparable with the pre-batching pinned census."""
+def _logical_events(ranks: int) -> tuple[dict, Any]:
+    """Deterministic event census: engine dispatches plus cohort-batched
+    deliveries (deliveries that shared another message's dispatch), so
+    the count is invariant to batching and comparable with the
+    pre-batching pinned census."""
     rec = ObsRecorder(sink=AggregatingSink())
-    result = _run_with_scheduler(scheduler, ranks, obs=rec)
+    result = _run(ranks, obs=rec)
     dispatched = sum(rec.events_by_class.values())
     counters = to_summary(rec, result.iteration_time)["counters"]
     batched = int(counters.get("mpi.batched_deliveries", {"total": 0})["total"])
@@ -296,24 +284,12 @@ class FullMachineMeasured(PerfTest):
     }
 
     def measure(self, case: Case):
-        # Wall-clock, untraced: best-of-5 per scheduler backend, sampled
-        # round-robin so load spikes degrade both backends together
-        # (five samples because the floor sits ~15% under the
-        # quiet-machine rate and shared-runner noise windows routinely
-        # last a repeat or two).
-        walls = paired_seconds(
-            {
-                "calendar": lambda: _run_with_scheduler("calendar", FULL_RANKS),
-                "heap": lambda: _run_with_scheduler("heap", FULL_RANKS),
-            },
-            repeats=5,
-        )
-        wall_3060, wall_heap = walls["calendar"], walls["heap"]
-        # Obs-sink runs give the deterministic census — identical across
-        # backends (the calendar queue reproduces heap order exactly).
-        census, _result = _logical_events(FULL_RANKS, "calendar")
-        census_heap, _ = _logical_events(FULL_RANKS, "heap")
-        assert census == census_heap, (census, census_heap)
+        # Wall-clock, untraced: best-of-5 (five samples because the
+        # floor sits ~15% under the quiet-machine rate and shared-runner
+        # noise windows routinely last a repeat or two).
+        wall_3060 = best_seconds(lambda: _run(FULL_RANKS), repeats=5)
+        # An obs-sink run gives the deterministic census.
+        census, _result = _logical_events(FULL_RANKS)
         events = census["logical"]
         # Memory, traced separately: disabled vs streaming-sink recorder.
         peak_disabled = _traced_peak(lambda: _run(FULL_RANKS))
@@ -328,9 +304,7 @@ class FullMachineMeasured(PerfTest):
             "spans": census["spans"],
             "messages": census["messages"],
             "wall_s_3060": round(wall_3060, 3),
-            "wall_s_3060_heap": round(wall_heap, 3),
             "events_per_s": round(events / wall_3060),
-            "events_per_s_heap": round(events / wall_heap),
             "peak_mb_3060": round(peak_disabled / 1e6, 1),
             "peak_mb_3060_obs_sink": round(peak_sink / 1e6, 1),
             "obs_peak_ratio": round(peak_sink / peak_disabled, 2),
@@ -343,7 +317,6 @@ class FullMachineMeasured(PerfTest):
                 f"{FULL_RANKS} ranks (60x51 KBA), per-rank tile "
                 "it=jt=2 kt=8 mk=4 mmi=2, 1 iteration"
             ),
-            "scheduler": "calendar",
             "min_events_per_s": MIN_EVENTS_PER_S,
             "max_wall_s_3060": MAX_WALL_S_3060,
             "max_peak_mb_3060": MAX_PEAK_MB_3060,

@@ -64,18 +64,11 @@ trades some repetition for speed:
   waits in a single attribute, so the push-one/pop-one cadence of a
   timeout chain bypasses ``heapq`` entirely while reproducing the
   heap's total order exactly;
-* the future-event set itself is pluggable
-  (``Simulator(scheduler=...)`` / the ``REPRO_SCHED`` environment
-  variable): the default ``"calendar"`` backend replaces the binary
-  heap with a calendar of occupied instants — a small spine heap of
-  *distinct* times over per-instant priority lanes (see
-  :mod:`repro.sim.calendar`) — making scheduling into an occupied
-  instant an O(1) dict-lookup-plus-append with no entry tuple at all,
-  which is the dominant pattern in same-instant wavefront cohorts.
-  The ``"heap"`` backend is the seed's binary heap, retained as the
-  reference; both produce bit-identical event timelines (the lanes
-  preserve the exact ``(time, priority, seq)`` total order) and both
-  sit behind the same one-slot min buffer.
+* :meth:`Simulator.run` has one hot loop with one inline resume block:
+  each dispatch arm only picks the waiter and the value it is resumed
+  with, and a per-class tail finishes the event.  The observed loop
+  and :meth:`Simulator.step` share one generic slow path
+  (:meth:`Simulator._step`).
 
 Example
 -------
@@ -93,15 +86,12 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator, Iterable
 from heapq import heappop, heappush
 from sys import getrefcount
 from time import perf_counter
 from types import GeneratorType
 from typing import Any
-
-from repro.sim import calendar as _calendar
 
 __all__ = [
     "AllOf",
@@ -138,77 +128,33 @@ URGENT = 0
 NORMAL = 1
 
 
-def _insert_displaced(sim: "Simulator", entry: tuple) -> None:
-    """File an entry displaced from the one-slot buffer in its lane.
-
-    Calendar backend only.  The displaced entry was the global minimum,
-    so its ``seq`` is older than every stored entry's: it belongs at
-    the *front* of its lane's undrained region — the one push for which
-    the plain append (correct for fresh, monotonically numbered
-    entries) would misorder the lane.
-    """
-    t, prio, _seq, event = entry
-    buckets = sim._buckets
-    b = buckets.get(t)
-    if b is None:
-        heappush(sim._times, t)
-        b = [[], [], [], 0, 0, 0]
-        b[prio].append(event)
-        buckets[t] = b
-    else:
-        b[prio].insert(b[3 + prio], event)
-
-
 def _push(sim: "Simulator", entry: tuple) -> None:
     """Insert ``entry`` preserving the single-slot min-buffer invariant.
 
     ``sim._next``, when not None, holds the entry that sorts before
-    everything queued (binary heap and calendar alike); pops take it
-    without touching the backend.  A workload alternating one push with
-    one pop (the timeout chain every process body reduces to) then
-    never pays for queue maintenance at all.  Entries are unique in
-    their ``seq`` field, so the tuple comparisons below reproduce the
-    heap's total order exactly — the slot is invisible to the
-    determinism contract.
-
-    On the calendar backend (``sim._buckets`` is a dict) an entry bound
-    for an occupied instant is appended to that instant's priority
-    lane: ``seq`` numbers are handed out monotonically, so appends keep
-    every lane sorted and the lanes replay the heap's
-    ``(time, priority, seq)`` order exactly (the sole exception — an
-    entry displaced from the slot — is handled by
-    :func:`_insert_displaced`).
+    everything in the heap; pops take it without touching the heap.  A
+    workload alternating one push with one pop (the timeout chain every
+    process body reduces to) then never pays for heap maintenance at
+    all.  Entries are unique in their ``seq`` field, so the tuple
+    comparisons below reproduce the heap's total order exactly — the
+    slot is invisible to the determinism contract.
 
     The hot construction sites (``Timeout.__init__``,
-    ``Simulator.timeout``, ``Event.succeed``, process bootstrap) inline
-    this body to avoid the call frame; keep them in sync.
+    ``Simulator.timeout``, ``Event.succeed``, process bootstrap) and the
+    run loop's process-termination push inline this body to avoid the
+    call frame; keep them in sync.
     """
     nxt = sim._next
-    buckets = sim._buckets
-    if buckets is None:
-        if nxt is None:
-            if sim._queue:
-                heappush(sim._queue, entry)
-            else:
-                sim._next = entry
-        elif entry < nxt:
-            sim._next = entry
-            heappush(sim._queue, nxt)
-        else:
+    if nxt is None:
+        if sim._queue:
             heappush(sim._queue, entry)
-    elif nxt is None and not buckets:
+        else:
+            sim._next = entry
+    elif entry < nxt:
         sim._next = entry
-    elif nxt is not None and entry < nxt:
-        sim._next = entry
-        _insert_displaced(sim, nxt)
+        heappush(sim._queue, nxt)
     else:
-        t = entry[0]
-        b = buckets.get(t)
-        if b is None:
-            heappush(sim._times, t)
-            b = [[], [], [], 0, 0, 0]
-            buckets[t] = b
-        b[entry[1]].append(entry[3])
+        heappush(sim._queue, entry)
 
 
 class Event:
@@ -286,32 +232,18 @@ class Event:
         sim._seq = seq = sim._seq + 1
         t = sim._now + delay
         # Inline _push (hot: every process termination lands here).
+        entry = (t, NORMAL, seq, self)
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, NORMAL, seq, self)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, NORMAL, seq, self)
-        elif nxt is not None and (t, NORMAL, seq, self) < nxt:
-            sim._next = (t, NORMAL, seq, self)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[], [self], [], 0, 0, 0]
             else:
-                b[1].append(self)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -364,32 +296,18 @@ class Timeout(Event):
         sim._seq = seq = sim._seq + 1
         t = sim._now + delay
         # Inline _push (hottest allocation site in the repository).
+        entry = (t, NORMAL, seq, self)
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, NORMAL, seq, self)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, NORMAL, seq, self)
-        elif nxt is not None and (t, NORMAL, seq, self) < nxt:
-            sim._next = (t, NORMAL, seq, self)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[], [self], [], 0, 0, 0]
             else:
-                b[1].append(self)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
 
 
 class _Bootstrap:
@@ -460,33 +378,19 @@ class Process(Event):
         sim._seq = seq = sim._seq + 1
         t = sim._now
         # Inline _push (URGENT: bootstraps run before NORMAL events at
-        # the same instant — lane 0 on the calendar backend).
+        # the same instant).
+        entry = (t, URGENT, seq, marker)
         nxt = sim._next
-        buckets = sim._buckets
-        if buckets is None:
-            entry = (t, URGENT, seq, marker)
-            if nxt is None:
-                if sim._queue:
-                    heappush(sim._queue, entry)
-                else:
-                    sim._next = entry
-            elif entry < nxt:
-                sim._next = entry
-                heappush(sim._queue, nxt)
-            else:
+        if nxt is None:
+            if sim._queue:
                 heappush(sim._queue, entry)
-        elif nxt is None and not buckets:
-            sim._next = (t, URGENT, seq, marker)
-        elif nxt is not None and (t, URGENT, seq, marker) < nxt:
-            sim._next = (t, URGENT, seq, marker)
-            _insert_displaced(sim, nxt)
-        else:
-            b = buckets.get(t)
-            if b is None:
-                heappush(sim._times, t)
-                buckets[t] = [[marker], [], [], 0, 0, 0]
             else:
-                b[0].append(marker)
+                sim._next = entry
+        elif entry < nxt:
+            sim._next = entry
+            heappush(sim._queue, nxt)
+        else:
+            heappush(sim._queue, entry)
 
     @property
     def is_alive(self) -> bool:
@@ -709,25 +613,17 @@ _POOL_SIZE = 64
 class Simulator:
     """The event loop: owns the clock and the future-event set.
 
+    The future-event set is one binary heap of ``(time, priority, seq,
+    event)`` entries behind a one-slot min buffer (see :func:`_push`).
+
     ``pool_size`` bounds the timeout free-list (``None`` uses the
     module default, ``0`` disables recycling entirely — the unpooled
     reference path the full-machine benchmark cross-checks against).
-
-    ``scheduler`` picks the future-event-set backend: ``"calendar"``
-    (the default — a calendar of occupied instants, O(1) scheduling
-    into an occupied instant, see :mod:`repro.sim.calendar`) or
-    ``"heap"`` (the seed's binary heap, retained as the reference).
-    ``None`` defers to :data:`repro.sim.calendar.DEFAULT_SCHEDULER`,
-    i.e. the ``REPRO_SCHED`` environment variable.  Both backends pop
-    in the identical ``(time, priority, seq)`` total order, so every
-    simulation is bit-for-bit reproducible under either.
     """
 
     __slots__ = (
         "_now",
         "_queue",
-        "_times",
-        "_buckets",
         "_next",
         "_seq",
         "_active_process",
@@ -736,33 +632,12 @@ class Simulator:
         "_free_bootstrap",
         "_pool_cap",
         "_observer",
-        "scheduler",
     )
 
-    def __init__(self, pool_size: int | None = None, scheduler: str | None = None):
-        if scheduler is None:
-            scheduler = _calendar.DEFAULT_SCHEDULER
-        if scheduler not in _calendar.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                f"{_calendar.SCHEDULERS}"
-            )
-        #: the future-event-set backend this simulator runs on
-        self.scheduler = scheduler
+    def __init__(self, pool_size: int | None = None):
         self._now = 0.0
-        #: binary-heap backend storage (always a list so emptiness
-        #: checks stay cheap; unused — empty — on the calendar backend)
         self._queue: list[tuple[float, int, int, Event]] = []
-        if scheduler == "calendar":
-            #: spine heap of the distinct occupied instants
-            self._times: list[float] | None = []
-            #: time -> [urgent, normal, after, ui, ni, ai] lane bucket;
-            #: also the backend discriminator (None means heap mode)
-            self._buckets: dict[float, list] | None = {}
-        else:
-            self._times = None
-            self._buckets = None
-        #: single-slot min buffer in front of either backend (see _push)
+        #: single-slot min buffer in front of the heap (see _push)
         self._next: tuple[float, int, int, Event] | None = None
         self._seq = 0
         self._active_process: Process | None = None
@@ -839,32 +714,18 @@ class Simulator:
         self._seq = seq = self._seq + 1
         when = self._now + delay
         # Inline _push (the recycled-timeout fast path).
+        entry = (when, NORMAL, seq, t)
         nxt = self._next
-        buckets = self._buckets
-        if buckets is None:
-            entry = (when, NORMAL, seq, t)
-            if nxt is None:
-                if self._queue:
-                    heappush(self._queue, entry)
-                else:
-                    self._next = entry
-            elif entry < nxt:
-                self._next = entry
-                heappush(self._queue, nxt)
-            else:
+        if nxt is None:
+            if self._queue:
                 heappush(self._queue, entry)
-        elif nxt is None and not buckets:
-            self._next = (when, NORMAL, seq, t)
-        elif nxt is not None and (when, NORMAL, seq, t) < nxt:
-            self._next = (when, NORMAL, seq, t)
-            _insert_displaced(self, nxt)
-        else:
-            b = buckets.get(when)
-            if b is None:
-                heappush(self._times, when)
-                buckets[when] = [[], [t], [], 0, 0, 0]
             else:
-                b[1].append(t)
+                self._next = entry
+        elif entry < nxt:
+            self._next = entry
+            heappush(self._queue, nxt)
+        else:
+            heappush(self._queue, entry)
         return t
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
@@ -891,57 +752,28 @@ class Simulator:
         nxt = self._next
         if nxt is not None:
             return nxt[0]
-        if self._buckets is None:
-            return self._queue[0][0] if self._queue else float("inf")
-        # Eager bucket retirement keeps the spine free of exhausted
-        # times, so its front is the next instant verbatim.
-        return self._times[0] if self._times else float("inf")
-
-    def _pop_bucket(self) -> tuple[float, Any] | None:
-        """Extract the next event from the calendar (slot already empty).
-
-        Returns ``(time, event)``, or None when no events remain.  The
-        pop that drains a bucket's last lane entry also retires the
-        bucket — no user code runs in between, so a dispatch that
-        schedules back into that instant re-creates the bucket *after*
-        everything previously there has been extracted, preserving the
-        ``(time, priority, seq)`` order.  The run loop inlines this
-        body; keep them in sync.
-        """
-        times = self._times
-        if not times:
-            return None
-        t = times[0]
-        buckets = self._buckets
-        b = buckets[t]
-        for prio in (0, 1, 2):
-            i = b[3 + prio]
-            lane = b[prio]
-            if i < len(lane):
-                event = lane[i]
-                lane[i] = None
-                b[3 + prio] = i + 1
-                if (
-                    b[3] == len(b[0])
-                    and b[4] == len(b[1])
-                    and b[5] == len(b[2])
-                ):
-                    heappop(times)
-                    del buckets[t]
-                return t, event
-        raise SimulationError("event queue corrupted: exhausted bucket on spine")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (the slow, single-step path)."""
+        self._step(None)
+
+    def _step(self, obs) -> Any:
+        """Pop and dispatch one event through the generic machinery.
+
+        The slow path behind :meth:`step` and the observed loop: it
+        checks that time never moves backwards (the hot loop skips that
+        check) and, when ``obs`` is given, attributes the host
+        wall-clock cost of each dispatch to the resumed process.  The
+        event order and clock advance are those of :meth:`run` — its
+        inlined fast paths exist for speed, not semantics.  Returns the
+        popped occurrence so the observed loop can recognize its own
+        horizon sentinel.
+        """
         nxt = self._next
         if nxt is not None:
             self._next = None
             time, _prio, _seq, event = nxt
-        elif self._buckets is not None:
-            popped = self._pop_bucket()
-            if popped is None:
-                raise SimulationError("step() on an empty event queue")
-            time, event = popped
         elif self._queue:
             time, _prio, _seq, event = heappop(self._queue)
         else:
@@ -950,110 +782,98 @@ class Simulator:
             raise SimulationError("event queue corrupted: time moved backwards")
         self._now = time
         cls = type(event)
-        if cls is _Bootstrap:
-            event.process._resume(event)
-            return
         if cls is _Stop:
-            # Sentinel orphaned by a bounded run() that raised: skip it.
-            return
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event.defused:
-            raise event._value
-
-    def _step_observed(self, obs) -> Any:
-        """Pop and dispatch one event, reporting it to ``obs``.
-
-        Mirrors :meth:`step`'s generic dispatch (identical event order
-        and clock advance — the inlined fast paths of :meth:`run` exist
-        for speed, not semantics) and additionally attributes the host
-        wall-clock cost of each dispatch to the resumed process.
-        Returns the popped occurrence so :meth:`_run_observed` can
-        recognize its own horizon sentinel.
-        """
-        nxt = self._next
-        if nxt is not None:
-            self._next = None
-            time, _prio, _seq, event = nxt
-        elif self._buckets is not None:
-            time, event = self._pop_bucket()
-        else:
-            time, _prio, _seq, event = heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("event queue corrupted: time moved backwards")
-        self._now = time
-        cls = type(event)
-        if cls is _Stop:
+            # A bounded run's horizon (or one orphaned by a run that
+            # raised, which is skipped): the caller decides.
             return event
-        t0 = perf_counter()
+        if obs is not None:
+            t0 = perf_counter()
         if cls is _Bootstrap:
             process = event.process
             process._resume(event)
-            obs._note_event("Bootstrap", process.name, perf_counter() - t0)
+            if obs is not None:
+                obs._note_event("Bootstrap", process.name, perf_counter() - t0)
             return event
         event._processed = True
         waiter = event._waiter
-        name = waiter.name if waiter is not None else None
+        name = None
         if waiter is not None:
+            name = waiter.name
             event._waiter = None
             waiter._resume(event)
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
             callback(event)
-        obs._note_event(cls.__name__, name, perf_counter() - t0)
+        if obs is not None:
+            obs._note_event(cls.__name__, name, perf_counter() - t0)
         if not event._ok and not event.defused:
             raise event._value
         return event
 
+    def _start_run(self, until: float | Event | None) -> tuple[Event | None, _Stop | None]:
+        """Once-per-run set-up of ``until``: ``(stop_evt, marker)``.
+
+        An event ``until`` is awaited by both loops with one
+        ``_processed`` check per iteration; it must belong to this
+        simulator, or the run could never see it fire.  A time
+        ``until`` pushes a :class:`_Stop` sentinel at the horizon (at
+        ``_AFTER`` priority, i.e. behind every real event scheduled for
+        that instant), replacing a per-iteration ``queue[0][0] <=
+        horizon`` bound check.  The sentinel is queued, so the loop
+        cannot drain the queue without popping it: a bounded run always
+        exits at its own marker — with the clock at the horizon — or by
+        an exception, which orphans the marker (later runs recognize
+        and skip orphans by identity).
+        """
+        if until is None:
+            return None, None
+        if isinstance(until, Event):
+            if until.sim is not self:
+                raise SimulationError("cannot run until an event from another simulator")
+            return until, None
+        horizon = float(until)
+        if horizon < self._now:
+            raise SimulationError(
+                f"run(until={horizon!r}) is in the past (now={self._now!r})"
+            )
+        marker = _Stop()
+        self._seq = seq = self._seq + 1
+        _push(self, (horizon, _AFTER, seq, marker))
+        return None, marker
+
+    @staticmethod
+    def _finish_run(stop_evt: Event | None) -> Any:
+        """Once-per-run result: the awaited event's value or failure."""
+        if stop_evt is None:
+            return None
+        if stop_evt._processed:
+            if stop_evt._ok:
+                return stop_evt._value
+            stop_evt.defused = True
+            raise stop_evt._value
+        raise SimulationError(
+            "simulation ran out of events before the awaited event fired"
+        )
+
     def _run_observed(self, until: float | Event | None) -> Any:
         """The observed counterpart of :meth:`run`.
 
-        Reproduces run()'s semantics exactly — including the horizon
-        sentinel (one ``seq`` consumed, identical to the fast loop) and
-        orphaned-sentinel skipping — while counting every processed
-        event and attributing host time per resumed process.
+        Drives :meth:`_step` with the observer, so it consumes ``seq``
+        numbers and pops events exactly like the fast loop, while
+        counting every processed event and attributing host time per
+        resumed process.
         """
         obs = self._observer
         t_run = perf_counter()
         try:
-            if isinstance(until, Event):
-                stop = until
-                while not stop._processed:
-                    if self._next is None and not self._queue and not self._times:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited "
-                            "event fired"
-                        )
-                    self._step_observed(obs)
-                if stop._ok:
-                    return stop._value
-                stop.defused = True
-                raise stop._value
-            marker = None
-            if until is not None:
-                horizon = float(until)
-                if horizon < self._now:
-                    raise SimulationError(
-                        f"run(until={horizon!r}) is in the past (now={self._now!r})"
-                    )
-                marker = _Stop()
-                self._seq = seq = self._seq + 1
-                _push(self, (horizon, _AFTER, seq, marker))
-            while self._next is not None or self._queue or self._times:
-                occurrence = self._step_observed(obs)
-                if occurrence is marker and marker is not None:
+            stop_evt, marker = self._start_run(until)
+            while self._next is not None or self._queue:
+                if stop_evt is not None and stop_evt._processed:
                     break
-            if marker is not None:
-                self._now = horizon
-            return None
+                if self._step(obs) is marker:
+                    break
+            return self._finish_run(stop_evt)
         finally:
             try:
                 obs.host_run_time += perf_counter() - t_run
@@ -1067,47 +887,18 @@ class Simulator:
         """
         if self._observer is not None:
             return self._run_observed(until)
-        # NB: named stop_evt, not stop — the dispatch arms' `except
-        # StopIteration as stop` clauses delete `stop` on block exit.
-        stop_evt = None
-        marker = None
-        if isinstance(until, Event):
-            # An awaited stop event runs through the same inlined hot
-            # loop as an unbounded run: one `stop_evt._processed` check
-            # per iteration replaces the seed's step()-per-event loop
-            # (the full-machine sweep drives its finish-line event
-            # through here, so this is the hottest run() mode in the
-            # repo).
-            stop_evt = until
-        elif until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"run(until={horizon!r}) is in the past (now={self._now!r})"
-                )
-            # A sentinel at the horizon (at _AFTER priority, i.e. behind
-            # every real event scheduled for that instant) replaces the
-            # per-iteration `queue[0][0] <= horizon` bound check.  The
-            # sentinel is in the heap, so the loop below cannot drain the
-            # queue without popping it: a bounded run always exits at its
-            # own marker (or by an exception, which orphans the marker —
-            # later runs recognize and skip orphans by identity).
-            marker = _Stop()
-            self._seq = seq = self._seq + 1
-            _push(self, (horizon, _AFTER, seq, marker))
+        # NB: named stop_evt, not stop — the resume block's `except
+        # StopIteration as stop` clause deletes `stop` on block exit.
+        stop_evt, marker = self._start_run(until)
         # The hot loop: step() inlined with queue/heappop bound to
-        # locals, dispatched on the event's concrete class (Timeout
-        # first — it dominates every workload in this repo), and the
-        # parked waiter resumed without a _resume call frame.  Heap pops
-        # are monotone by construction (negative delays are rejected at
-        # scheduling time), so the corruption check lives only on the
-        # slow step() path.  The inline resume block is deliberately
-        # repeated in all three dispatch arms: hoisting it into a helper
-        # costs a Python call frame per event, which is precisely what
-        # this loop exists to avoid.
+        # locals, and the parked waiter resumed without a _resume call
+        # frame.  Each dispatch arm (Timeout first — it dominates every
+        # workload in this repo) only picks the waiter and its value;
+        # one shared block resumes it, and a per-class tail finishes
+        # the event.  Heap pops are monotone by construction (negative
+        # delays are rejected at scheduling time), so the corruption
+        # check lives only on the slow _step() path.
         queue = self._queue
-        times = self._times
-        buckets = self._buckets
         pop = heappop
         free = self._free_timeouts
         cap = self._pool_cap
@@ -1121,143 +912,114 @@ class Simulator:
                 # Drop the tuple: the refcount==2 recycle test below
                 # must see only this frame's reference to the event.
                 entry = None
-            elif buckets is None:
-                if queue:
-                    time, _prio, _seq, event = pop(queue)
-                    if queue and queue[0][0] == time:
-                        # Same-instant cohort (a wavefront diagonal
-                        # firing together): hoist the next member into
-                        # the empty slot so the cohort drains through
-                        # slotted pops and pushes during dispatch
-                        # compare against it first.
-                        self._next = pop(queue)
-                else:
-                    break
-            elif times:
-                # Calendar pop (the inlined body of _pop_bucket): front
-                # bucket, first undrained lane in priority order; the
-                # extraction that empties a bucket retires it in place.
-                time = times[0]
-                b = buckets[time]
-                i = b[3]
-                lane = b[0]
-                if i < len(lane):
-                    event = lane[i]
-                    lane[i] = None
-                    i += 1
-                    b[3] = i
-                    if i == len(lane) and b[4] == len(b[1]) and b[5] == len(b[2]):
-                        pop(times)
-                        del buckets[time]
-                else:
-                    i = b[4]
-                    lane = b[1]
-                    if i < len(lane):
-                        event = lane[i]
-                        lane[i] = None
-                        i += 1
-                        b[4] = i
-                        if i == len(lane) and b[5] == len(b[2]):
-                            pop(times)
-                            del buckets[time]
-                    else:
-                        i = b[5]
-                        lane = b[2]
-                        event = lane[i]
-                        lane[i] = None
-                        i += 1
-                        b[5] = i
-                        if i == len(lane):
-                            pop(times)
-                            del buckets[time]
+            elif queue:
+                time, _prio, _seq, event = pop(queue)
+                if queue and queue[0][0] == time:
+                    # Same-instant cohort (a wavefront diagonal firing
+                    # together): hoist the next member into the empty
+                    # slot so the cohort drains through slotted pops
+                    # and pushes during dispatch compare against it
+                    # first.
+                    self._next = pop(queue)
             else:
                 break
             self._now = time
             cls = type(event)
             if cls is Timeout:
+                # Timeouts always succeed.
                 event._processed = True
                 waiter = event._waiter
                 if waiter is not None:
-                    # Timeouts always succeed: resume the waiter inline.
                     event._waiter = None
                     value = event._value
-                    self._active_process = waiter
-                    send = waiter._send
-                    while True:
-                        try:
-                            target = send(value)
-                        except StopIteration as stop:
-                            self._active_process = None
-                            waiter._target = None
-                            # Inline Event.succeed: process termination is
-                            # the spawn/join hot path.
-                            if waiter._triggered:
-                                raise SimulationError("event already triggered")
-                            waiter._triggered = True
-                            waiter._ok = True
-                            waiter._value = stop.value
-                            self._seq = seq = self._seq + 1
-                            nxt = self._next
-                            if buckets is None:
-                                entry = (time, NORMAL, seq, waiter)
-                                if nxt is None:
-                                    if queue:
-                                        heappush(queue, entry)
-                                    else:
-                                        self._next = entry
-                                elif entry < nxt:
-                                    self._next = entry
-                                    heappush(queue, nxt)
-                                else:
-                                    heappush(queue, entry)
-                            elif nxt is None and not buckets:
-                                self._next = (time, NORMAL, seq, waiter)
-                            elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                                self._next = (time, NORMAL, seq, waiter)
-                                _insert_displaced(self, nxt)
-                            else:
-                                b = buckets.get(time)
-                                if b is None:
-                                    heappush(times, time)
-                                    buckets[time] = [[], [waiter], [], 0, 0, 0]
-                                else:
-                                    b[1].append(waiter)
-                            # Clear the parked-yield local: a stale reference
-                            # would defeat the timeout recycle test below.
-                            target = None
-                            break
-                        except BaseException as exc:
-                            self._active_process = None
-                            waiter._target = None
-                            waiter.fail(exc)
-                            target = None
-                            break
-                        if type(target) is Timeout and target.sim is self:
-                            if target._processed:
-                                value = target._value
-                                continue
-                            waiter._target = target
-                            if target._waiter is None and not target.callbacks:
-                                target._waiter = waiter
-                            else:
-                                target.callbacks.append(waiter._resume)
-                            self._active_process = None
-                            break
-                        if (
-                            isinstance(target, Event)
-                            and target.sim is self
-                            and not target._processed
-                        ):
-                            waiter._target = target
-                            if target._waiter is None and not target.callbacks:
-                                target._waiter = waiter
-                            else:
-                                target.callbacks.append(waiter._resume)
-                            self._active_process = None
-                            break
+            elif cls is _Bootstrap:
+                waiter = event.process
+                value = None
+            elif cls is _Stop:
+                if event is marker:
+                    break
+                # Sentinel orphaned by an earlier run that raised: skip.
+                continue
+            else:
+                # Generic event (Process termination, bare Events,
+                # conditions).
+                event._processed = True
+                waiter = event._waiter
+                if waiter is not None:
+                    event._waiter = None
+                    if event._ok:
+                        value = event._value
+                    else:
+                        # Failed event: the generic path throws the
+                        # failure into the generator.
+                        waiter._resume(event)
+                        waiter = None
+            if waiter is not None:
+                self._active_process = waiter
+                send = waiter._send
+                while True:
+                    try:
+                        target = send(value)
+                    except StopIteration as stop:
                         self._active_process = None
-                        waiter._park_slow(target)
+                        waiter._target = None
+                        # Inline Event.succeed + _push: process
+                        # termination is the spawn/join hot path.
+                        if waiter._triggered:
+                            raise SimulationError("event already triggered")
+                        waiter._triggered = True
+                        waiter._ok = True
+                        waiter._value = stop.value
+                        self._seq = seq = self._seq + 1
+                        entry = (time, NORMAL, seq, waiter)
+                        nxt = self._next
+                        if nxt is None:
+                            if queue:
+                                heappush(queue, entry)
+                            else:
+                                self._next = entry
+                        elif entry < nxt:
+                            self._next = entry
+                            heappush(queue, nxt)
+                        else:
+                            heappush(queue, entry)
+                        # Clear the parked-yield local: a stale reference
+                        # would defeat the timeout recycle test below.
+                        target = None
                         break
+                    except BaseException as exc:
+                        self._active_process = None
+                        waiter._target = None
+                        waiter.fail(exc)
+                        target = None
+                        break
+                    if type(target) is Timeout and target.sim is self:
+                        if target._processed:
+                            value = target._value
+                            continue
+                        waiter._target = target
+                        if target._waiter is None and not target.callbacks:
+                            target._waiter = waiter
+                        else:
+                            target.callbacks.append(waiter._resume)
+                        self._active_process = None
+                        break
+                    if (
+                        isinstance(target, Event)
+                        and target.sim is self
+                        and not target._processed
+                    ):
+                        waiter._target = target
+                        if target._waiter is None and not target.callbacks:
+                            target._waiter = waiter
+                        else:
+                            target.callbacks.append(waiter._resume)
+                        self._active_process = None
+                        break
+                    self._active_process = None
+                    waiter._park_slow(target)
+                    break
+            if cls is Timeout:
                 # Callbacks registered after the parked waiter fire after
                 # it, preserving registration order; with none, recycle
                 # the timeout if the loop holds the only live reference
@@ -1282,207 +1044,17 @@ class Simulator:
                         event.callbacks = None
                 else:
                     event.callbacks = None
-                continue
-            if cls is _Bootstrap:
-                waiter = event.process
-                value = None
-                self._active_process = waiter
-                send = waiter._send
-                while True:
-                    try:
-                        target = send(value)
-                    except StopIteration as stop:
-                        self._active_process = None
-                        waiter._target = None
-                        # Inline Event.succeed: process termination is
-                        # the spawn/join hot path.
-                        if waiter._triggered:
-                            raise SimulationError("event already triggered")
-                        waiter._triggered = True
-                        waiter._ok = True
-                        waiter._value = stop.value
-                        self._seq = seq = self._seq + 1
-                        nxt = self._next
-                        if buckets is None:
-                            entry = (time, NORMAL, seq, waiter)
-                            if nxt is None:
-                                if queue:
-                                    heappush(queue, entry)
-                                else:
-                                    self._next = entry
-                            elif entry < nxt:
-                                self._next = entry
-                                heappush(queue, nxt)
-                            else:
-                                heappush(queue, entry)
-                        elif nxt is None and not buckets:
-                            self._next = (time, NORMAL, seq, waiter)
-                        elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                            self._next = (time, NORMAL, seq, waiter)
-                            _insert_displaced(self, nxt)
-                        else:
-                            b = buckets.get(time)
-                            if b is None:
-                                heappush(times, time)
-                                buckets[time] = [[], [waiter], [], 0, 0, 0]
-                            else:
-                                b[1].append(waiter)
-                        # Clear the parked-yield local: a stale reference
-                        # would defeat the timeout recycle test below.
-                        target = None
-                        break
-                    except BaseException as exc:
-                        self._active_process = None
-                        waiter._target = None
-                        waiter.fail(exc)
-                        target = None
-                        break
-                    if type(target) is Timeout and target.sim is self:
-                        if target._processed:
-                            value = target._value
-                            continue
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    if (
-                        isinstance(target, Event)
-                        and target.sim is self
-                        and not target._processed
-                    ):
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    self._active_process = None
-                    waiter._park_slow(target)
-                    break
+            elif cls is _Bootstrap:
                 # Recycle the two-word marker for the next spawn (the
                 # loop holds the only reference once the entry is gone).
                 if self._free_bootstrap is None and getrefcount(event) == 2:
                     event.process = None
                     self._free_bootstrap = event
-                continue
-            if cls is _Stop:
-                if event is marker:
-                    break
-                # Sentinel orphaned by an earlier run that raised: skip.
-                continue
-            # Generic event (Process termination, bare Events, conditions).
-            event._processed = True
-            waiter = event._waiter
-            if waiter is not None and event._ok:
-                event._waiter = None
-                value = event._value
-                self._active_process = waiter
-                send = waiter._send
-                while True:
-                    try:
-                        target = send(value)
-                    except StopIteration as stop:
-                        self._active_process = None
-                        waiter._target = None
-                        # Inline Event.succeed: process termination is
-                        # the spawn/join hot path.
-                        if waiter._triggered:
-                            raise SimulationError("event already triggered")
-                        waiter._triggered = True
-                        waiter._ok = True
-                        waiter._value = stop.value
-                        self._seq = seq = self._seq + 1
-                        nxt = self._next
-                        if buckets is None:
-                            entry = (time, NORMAL, seq, waiter)
-                            if nxt is None:
-                                if queue:
-                                    heappush(queue, entry)
-                                else:
-                                    self._next = entry
-                            elif entry < nxt:
-                                self._next = entry
-                                heappush(queue, nxt)
-                            else:
-                                heappush(queue, entry)
-                        elif nxt is None and not buckets:
-                            self._next = (time, NORMAL, seq, waiter)
-                        elif nxt is not None and (time, NORMAL, seq, waiter) < nxt:
-                            self._next = (time, NORMAL, seq, waiter)
-                            _insert_displaced(self, nxt)
-                        else:
-                            b = buckets.get(time)
-                            if b is None:
-                                heappush(times, time)
-                                buckets[time] = [[], [waiter], [], 0, 0, 0]
-                            else:
-                                b[1].append(waiter)
-                        # Clear the parked-yield local: a stale reference
-                        # would defeat the timeout recycle test below.
-                        target = None
-                        break
-                    except BaseException as exc:
-                        self._active_process = None
-                        waiter._target = None
-                        waiter.fail(exc)
-                        target = None
-                        break
-                    if type(target) is Timeout and target.sim is self:
-                        if target._processed:
-                            value = target._value
-                            continue
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    if (
-                        isinstance(target, Event)
-                        and target.sim is self
-                        and not target._processed
-                    ):
-                        waiter._target = target
-                        if target._waiter is None and not target.callbacks:
-                            target._waiter = waiter
-                        else:
-                            target.callbacks.append(waiter._resume)
-                        self._active_process = None
-                        break
-                    self._active_process = None
-                    waiter._park_slow(target)
-                    break
+            else:
                 callbacks = event.callbacks
                 event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                continue
-            if waiter is not None:
-                # Failed event with a parked waiter: the generic path
-                # throws the failure into the generator.
-                event._waiter = None
-                waiter._resume(event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-        if marker is not None:
-            self._now = horizon
-        if stop_evt is not None:
-            if stop_evt._processed:
-                if stop_evt._ok:
-                    return stop_evt._value
-                stop_evt.defused = True
-                raise stop_evt._value
-            raise SimulationError(
-                "simulation ran out of events before the awaited event fired"
-            )
-        return None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event.defused:
+                    raise event._value
+        return self._finish_run(stop_evt)

@@ -107,6 +107,24 @@ def test_run_until_time_stops_and_sets_clock():
     assert sim.now == pytest.approx(3.5)
 
 
+def test_run_until_foreign_event_rejected_up_front():
+    """An event of another simulator can never fire in this run: it is
+    refused before this simulator processes anything."""
+    sim, other = Simulator(), Simulator()
+    log = []
+
+    def proc(sim):
+        for _ in range(5):
+            yield sim.timeout(1.0)
+            log.append(sim.now)
+
+    sim.process(proc(sim))
+    with pytest.raises(SimulationError, match="another simulator"):
+        sim.run(until=other.event())
+    assert log == []
+    assert sim.now == 0.0
+
+
 def test_run_until_past_raises():
     sim = Simulator()
     sim.run(until=5.0)
@@ -417,3 +435,41 @@ def test_interrupt_victim_waiting_alone_detaches_fast_slot():
     sim.run()
     assert log == ["interrupted", "resumed later"]
     assert sim.now == pytest.approx(4.0)
+
+
+class _CountingObserver:
+    """Counts dispatches; attaching it routes run() onto the observed loop."""
+
+    def __init__(self):
+        self.events = 0
+        self.host_run_time = 0.0
+
+    def _note_event(self, cls_name, proc_name, host_dt):
+        self.events += 1
+
+
+class TestObservedLoop:
+    """Every test above again, with a counting observer attached to each
+    Simulator, so run() takes the observed loop (``_run_observed`` over
+    ``_step``) instead of the inlined fast loop."""
+
+    @pytest.fixture(autouse=True)
+    def _observed(self, monkeypatch):
+        sims = []
+        init = Simulator.__init__
+
+        def observed_init(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            sim.attach_observer(_CountingObserver())
+            sims.append(sim)
+
+        monkeypatch.setattr(Simulator, "__init__", observed_init)
+        yield
+        for sim in sims:
+            # A clock that moved was moved by the observed loop.
+            assert sim.observer.host_run_time > 0 or sim.now == 0.0
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestObservedLoop, _name, staticmethod(_test))
